@@ -105,7 +105,7 @@ def measure_null_overhead_ns(iters=200_000, repeats=9):
     """
     s = build(observability="off")
 
-    def stub_step():
+    def stub_step(dt=None):
         s.step_count += 1
         return 5e-8
 

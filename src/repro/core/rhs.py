@@ -60,13 +60,8 @@ ENGINES = ("batched", "naive")
 class _EvalProps:
     """Memoized thermo/transport bundle for one state buffer."""
 
-    __slots__ = ("u", "version", "fingerprint", "rho", "vel", "T", "p", "Y",
+    __slots__ = ("u", "version", "content", "rho", "vel", "T", "p", "Y",
                  "e0", "wbar", "props", "h_i")
-
-
-def _fingerprint(u: np.ndarray):
-    """Cheap content fingerprint catching in-place buffer mutation."""
-    return (float(u.flat[0]), float(u.flat[-1]), float(u.sum()))
 
 
 class CompressibleRHS:
@@ -191,21 +186,22 @@ class CompressibleRHS:
         One evaluation is shared between the diffusive-flux, heat-flux,
         and reaction consumers of a single RHS call, and between
         :meth:`stable_dt` and the first integrator stage of a step (both
-        see the same buffer). The cache key is the buffer object, the
-        state's version token (bumped by
-        :meth:`~repro.core.state.State.mark_modified`), and a content
-        fingerprint that catches in-place mutation (low-storage RK
-        stages update ``u`` in place between evaluations).
+        see the same buffer). A hit needs the same buffer object, the
+        same state version token (bumped by
+        :meth:`~repro.core.state.State.mark_modified`), and content
+        exactly equal to a copy taken when the memo was filled:
+        low-storage RK stages update ``u`` in place between evaluations,
+        and on a periodic box that update conserves every sum, so no
+        cheaper fingerprint can tell the stages apart.
         """
         st = self.state
         u = np.asarray(u, dtype=float)
-        fp = _fingerprint(u)
         cache = self._props_cache
         if (
             cache is not None
             and cache.u is u
             and cache.version == st.version
-            and cache.fingerprint == fp
+            and np.array_equal(cache.content, u)
         ):
             self.telemetry.counter("rhs.props_cache_hits").inc()
             return cache
@@ -220,7 +216,7 @@ class CompressibleRHS:
             if self.transport is not None or (self.reacting and self.mech.n_reactions):
                 h_i = be.species_enthalpy_mass(self.mech, T)
         pc = _EvalProps()
-        pc.u, pc.version, pc.fingerprint = u, st.version, fp
+        pc.u, pc.version, pc.content = u, st.version, u.copy()
         pc.rho, pc.vel, pc.T, pc.p, pc.Y, pc.e0, pc.wbar = rho, vel, T, p, Y, e0, wbar
         pc.props, pc.h_i = props, h_i
         self._props_cache = pc

@@ -1,8 +1,10 @@
 """The DNS driver: time stepping, filtering, monitoring, hooks.
 
 :class:`S3DSolver` ties together the state, RHS, ERK integrator, and
-10th-order filter, and exposes the hook points the rest of the paper's
-ecosystem attaches to:
+10th-order filter — for the serial layout here, and for the
+rank-parallel layout through
+:class:`~repro.parallel.solver.ParallelPeriodicSolver` — and exposes the
+hook points the rest of the paper's ecosystem attaches to:
 
 * ``checkpoint_hook`` — called with (step, time, state); the I/O kernel
   of §5 registers here,
@@ -12,8 +14,6 @@ ecosystem attaches to:
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.chemistry.implicit import (
     resolve_chemistry_method,
@@ -29,6 +29,12 @@ from repro.util.timers import TimerRegistry
 
 class S3DSolver:
     """Explicit compressible reacting-flow DNS solver.
+
+    The time stepper, Strang split, filter cadence, run loop, telemetry
+    and health set-up live here once. A rank-parallel layout
+    (:class:`~repro.parallel.solver.ParallelPeriodicSolver`) reuses all
+    of it and supplies only its own operators: the RHS callable, the
+    filter, and the reactor dispatch of the Strang half-steps.
 
     Parameters
     ----------
@@ -50,20 +56,23 @@ class S3DSolver:
 
     def __init__(self, state, config, transport=None, reacting=True,
                  telemetry=None):
+        from repro.observability import for_solver
+
         config.validate(state.grid)
         self.state = state
         self.config = config
-        self.telemetry = self._resolve_telemetry(telemetry, config)
+        self.tracing = _telemetry.resolve_tracing(config.tracing)
+        self.telemetry = _telemetry.resolve_solver(
+            config.telemetry if telemetry is None else telemetry, self.tracing)
         self.chemistry_mode = resolve_chemistry_mode(config.chemistry_mode)
         # Strang splitting moves chemistry out of the ERK right-hand
         # side: the RHS is built non-reacting and an implicit per-cell
         # integrator advances the reactors in two dt/2 half-steps around
         # it. A non-reacting solver (or an inert mechanism) has nothing
         # to split and keeps the plain transport path.
-        split = (self.chemistry_mode == "strang" and reacting
-                 and state.mech.n_reactions > 0)
         self._chem = None
-        if split:
+        if (self.chemistry_mode == "strang" and reacting
+                and state.mech.n_reactions > 0):
             from repro.chemistry.implicit import ImplicitChemistry
 
             self._chem = ImplicitChemistry(
@@ -77,19 +86,12 @@ class S3DSolver:
                 "fixed_substeps requires chemistry_mode='strang' "
                 "(there is no implicit integrator to apply it to)"
             )
-        self.rhs = CompressibleRHS(
-            state, transport=transport, boundaries=config.boundaries,
-            reacting=reacting and not split, telemetry=self.telemetry,
-            engine=config.rhs_engine, backend=config.rhs_backend,
-        )
         self.integrator = ERKIntegrator(config.scheme)
-        self.filters = filter_operators(state.grid, alpha=config.filter_alpha,
-                                        telemetry=self.telemetry,
-                                        backend=self.rhs.backend)
+        self._build_operators(transport, reacting and self._chem is None)
         self.time = 0.0
         self.step_count = 0
         self.timers = TimerRegistry(telemetry=self.telemetry)
-        self.health = self._resolve_health(config)
+        self.health = for_solver(self, config.observability)
         self.checkpoint_hook = None
         self.insitu_hook = None
         self.monitor_history = []  # list of (step, time, {var: (min, max)})
@@ -97,30 +99,22 @@ class S3DSolver:
         #: :meth:`record_monitor` (the §9 ASCII monitoring files)
         self.monitor_writer = None
 
-    @staticmethod
-    def _resolve_telemetry(telemetry, config):
-        if telemetry is not None:
-            return telemetry
-        if config.telemetry is True:
-            tel = _telemetry.Telemetry()
-        elif config.telemetry is False:
-            return _telemetry.NULL_TELEMETRY
-        else:
-            tel = _telemetry.get_telemetry()
-        # tracing rides on the telemetry mode: upgrade a recording
-        # backend in place, or stand one up when only tracing was asked
-        # for (config or REPRO_TRACING)
-        if _telemetry.resolve_tracing(config.tracing):
-            if getattr(tel, "enabled", False):
-                tel.enable_tracing()
-            else:
-                tel = _telemetry.Telemetry(tracing=True)
-        return tel
+    def _build_operators(self, transport, reacting) -> None:
+        """The RHS (reacting unless the chemistry is split) and filters."""
+        cfg = self.config
+        self.rhs = CompressibleRHS(
+            self.state, transport=transport, boundaries=cfg.boundaries,
+            reacting=reacting, telemetry=self.telemetry,
+            engine=cfg.rhs_engine, backend=cfg.rhs_backend,
+        )
+        self.filters = filter_operators(self.state.grid, alpha=cfg.filter_alpha,
+                                        telemetry=self.telemetry,
+                                        backend=self.rhs.backend)
 
-    def _resolve_health(self, config):
-        from repro.observability import for_solver
-
-        return for_solver(self, config.observability)
+    @property
+    def locals(self) -> list:
+        """The state as per-rank blocks: one block, the whole array."""
+        return [self.state.u]
 
     # ------------------------------------------------------------------
     def compute_dt(self) -> float:
@@ -157,20 +151,27 @@ class S3DSolver:
     def _strang_chemistry(self, half_dt: float) -> None:
         """Advance every cell's reactor by ``half_dt`` at fixed (rho, e).
 
-        Decodes ``(rho, e_int, Y)`` from the conserved array, runs the
-        per-cell implicit constant-volume integration, and writes the
-        new species densities back. Density, momentum, and total energy
-        are untouched, so the split conserves them identically; the
-        temperature change is implied by the new composition at fixed
-        internal energy.
+        Decodes ``(rho, e_int, Y)`` from each block of :attr:`locals`,
+        runs the per-cell implicit constant-volume integration, and
+        writes the new species densities back. Density, momentum, and
+        total energy are untouched, so the split conserves them
+        identically; the temperature change is implied by the new
+        composition at fixed internal energy.
         """
         st = self.state
-        mech = st.mech
-        rho_f, e_f, Y_f = strang_reactor_inputs(st.u, st.ndim, mech.n_species)
+        ns = st.mech.n_species
+        blocks = self.locals
+        inputs = [strang_reactor_inputs(b, st.ndim, ns) for b in blocks]
         with self.timers("chemistry"), self.telemetry.span("CHEMISTRY_IMPLICIT"):
-            _, Y1, _ = self._chem.advance_energy(rho_f, e_f, Y_f, half_dt)
-        strang_apply_update(st.u, st.ndim, mech.n_species, Y1)
+            results = self._advance_reactors(inputs, half_dt)
+        for block, Y1 in zip(blocks, results):
+            strang_apply_update(block, st.ndim, ns, Y1)
         st.mark_modified()
+
+    def _advance_reactors(self, inputs, half_dt: float) -> list:
+        """New mass fractions for each block's ``(rho, e_int, Y)``."""
+        return [self._chem.advance_energy(rho, e, Y, half_dt)[1]
+                for rho, e, Y in inputs]
 
     def apply_filter(self) -> None:
         """Apply the 10th-order filter along every direction.
@@ -184,11 +185,13 @@ class S3DSolver:
             filt.apply(u, axis=1 + axis, out=u)
         self.state.mark_modified()
 
-    def run(self, n_steps: int, monitor_interval: int = 0,
-            checkpoint_interval: int = 0, insitu_interval: int = 0):
+    def run(self, n_steps: int, dt: float | None = None,
+            monitor_interval: int = 0, checkpoint_interval: int = 0,
+            insitu_interval: int = 0):
         """Advance ``n_steps`` steps, firing hooks at the given intervals.
 
-        With observability enabled (``config.observability`` or
+        ``dt=None`` takes each step's dt from :meth:`compute_dt`. With
+        observability enabled (``config.observability`` or
         ``REPRO_OBSERVABILITY``), the health monitor checks its
         watchdogs after each step; a trip raises
         :class:`~repro.observability.watchdogs.WatchdogTripError`. The
@@ -198,10 +201,10 @@ class S3DSolver:
         for _ in range(n_steps):
             if health.enabled:
                 t0 = health.clock()
-                dt = self.step()
-                health.on_step(dt, health.clock() - t0)
+                used = self.step(dt)
+                health.on_step(used, health.clock() - t0)
             else:
-                self.step()
+                self.step(dt)
             if monitor_interval and self.step_count % monitor_interval == 0:
                 self.record_monitor()
             if (

@@ -170,17 +170,18 @@ def standard_watchdogs(solver, mode: str = "on", clock=None) -> list:
     """The default watchdog set for a solver at the given mode.
 
     ``"on"`` arms the NaN sentinel, CFL margin, physical bounds, and
-    wall-time anomaly detection. ``"full"`` additionally arms the
-    conservation-drift tracker — but only on all-periodic grids, where
-    the :mod:`tests.test_conservation` invariants actually hold (open
-    boundaries flux mass and energy through the domain by design).
+    wall-time anomaly detection. The CFL margin needs the RHS's stable
+    time step estimate, so a solver driven by an explicit dt whose RHS
+    has none (the rank-parallel solver) goes without it. ``"full"``
+    additionally arms the conservation-drift tracker — but only on
+    all-periodic grids, where the :mod:`tests.test_conservation`
+    invariants actually hold (open boundaries flux mass and energy
+    through the domain by design).
     """
-    dogs = [
-        NaNSentinel(),
-        CFLMarginWatchdog(),
-        BoundsWatchdog(),
-        WallTimeAnomalyWatchdog(),
-    ]
+    dogs = [NaNSentinel()]
+    if hasattr(solver.rhs, "stable_dt"):
+        dogs.append(CFLMarginWatchdog())
+    dogs += [BoundsWatchdog(), WallTimeAnomalyWatchdog()]
     if mode == "full" and all(solver.state.grid.periodic):
         dogs.append(ConservationWatchdog())
     return dogs

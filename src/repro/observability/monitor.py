@@ -82,10 +82,10 @@ class HealthMonitor:
     def arm_stage_guard(self) -> None:
         """Catch NaN the RK stage it appears (not just end-of-step).
 
-        Installs a per-stage hook on the solver's integrator (serial
-        solver only — the parallel solver has no single integrator
-        object) that trips the moment a stage slope goes non-finite,
-        before the poisoned slope is blended into the state.
+        Installs a per-stage hook on the solver's integrator (the
+        serial and rank-parallel solvers share one) that trips the
+        moment a stage slope goes non-finite, before the poisoned slope
+        is blended into the state.
         """
         import numpy as np
 

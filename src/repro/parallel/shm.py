@@ -59,6 +59,7 @@ __all__ = [
     "MultiprocessingTransport",
     "WorkerCrashedError",
     "WorkerError",
+    "resolve_heartbeat",
 ]
 
 #: initial per-direction SharedMemory segment size [bytes]
@@ -86,6 +87,26 @@ class WorkerError(RuntimeError):
 class WorkerCrashedError(RankFailedError):
     """A transport worker process died (the multiprocessing view of a
     dead node); the rank is marked failed."""
+
+
+def resolve_heartbeat(heartbeat: float | None = None) -> float:
+    """Heartbeat deadline in seconds: explicit argument wins, ``None``
+    defers to ``REPRO_HEARTBEAT`` (unset means 0, no deadline). A value
+    that is not a non-negative number raises; a typo must not silently
+    disable hang detection."""
+    if heartbeat is None:
+        raw = os.environ.get(HEARTBEAT_ENV, "").strip()
+        try:
+            heartbeat = float(raw) if raw else 0.0
+        except ValueError:
+            raise ValueError(
+                f"{HEARTBEAT_ENV}={raw!r} is not a number of seconds "
+                f"(use a value >= 0; 0 disables the deadline)"
+            ) from None
+    heartbeat = float(heartbeat)
+    if not heartbeat >= 0:
+        raise ValueError("heartbeat deadline must be >= 0 seconds")
+    return heartbeat
 
 
 def _align(offset: int) -> int:
@@ -341,15 +362,7 @@ class MultiprocessingTransport(InProcessTransport):
         self._ctx = multiprocessing.get_context(context)
         self._workers: list | None = None
         self._closed = False
-        if heartbeat is None:
-            raw = os.environ.get(HEARTBEAT_ENV, "").strip()
-            try:
-                heartbeat = float(raw) if raw else 0.0
-            except ValueError:
-                heartbeat = 0.0
-        self.heartbeat = float(heartbeat)
-        if self.heartbeat < 0:
-            raise ValueError("heartbeat deadline must be >= 0 seconds")
+        self.heartbeat = resolve_heartbeat(heartbeat)
         self._factory = None   # pickled program factory, kept for revival
         self._args = None
         _LIVE.add(self)

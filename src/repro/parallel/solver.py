@@ -10,38 +10,47 @@ Two levels of fidelity to S3D's parallelization (§2.6):
   observable of the paper's communication discussion.
 
 * :class:`ParallelPeriodicSolver` — a full rank-parallel DNS on periodic
-  boxes using extended-block evaluation: each rank exchanges a deep halo
-  of the conserved state once per RK stage, evaluates the *serial* RHS
-  on its ghost-extended block, and keeps the owned interior. With halo
-  width >= 2x the derivative stencil half-width the owned results are
-  bitwise identical to the serial solver (gradients of gradients are
-  fully supported), which the test suite asserts.
+  boxes. It is the serial :class:`~repro.core.solver.S3DSolver` (same
+  ERK integrator for every scheme, same step, Strang split, filter
+  cadence and run loop) over a rank-blocked layout: each RHS evaluation
+  exchanges a deep halo of the conserved state, evaluates the serial
+  RHS on every rank's ghost-extended block, and keeps the owned
+  interiors. With a halo of at least twice the derivative stencil
+  half-width (gradients of gradients are fully supported) the result
+  matches the serial solver to round-off, not bit for bit: the test
+  suite asserts 1e-10 relative per variable, and the two agree to about
+  4e-14.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.chemistry.implicit import (
-    ImplicitChemistry,
-    resolve_chemistry_method,
-    resolve_chemistry_mode,
-    resolve_fixed_substeps,
-)
+from repro.core.config import SolverConfig, periodic_boundaries
 from repro.core.derivatives import DerivativeOperator, HALF_WIDTH
 from repro.core.filters import FilterOperator, FILTER_HALF_WIDTH
-from repro.core.erk import SCHEMES
 from repro.core.grid import Grid
 from repro.core.rhs import CompressibleRHS
-from repro.core.state import State, strang_apply_update, strang_reactor_inputs
+from repro.core.solver import S3DSolver
+from repro.core.state import State
 from repro.parallel import chemlb
 from repro.parallel.comm import create_transport
 from repro.parallel.halo import HaloExchanger
 from repro.telemetry import resolve as resolve_telemetry
-from repro.telemetry.tracing import resolve_tracing
 
 #: halo depth for nested-gradient (viscous-flux) bitwise equivalence
 DEEP_HALO = 2 * HALF_WIDTH + 1  # 9 >= filter's 5 as well
+
+
+def thinnest_block(decomp) -> tuple:
+    """``(depth, rank, axis)`` of the shallowest rank block on any axis.
+
+    A block shallower than :data:`DEEP_HALO` cannot serve the deep halo
+    exchange (it would ship ghosts it does not own), so the solver
+    rejects such a decomposition and shrink recovery never builds one.
+    """
+    return min((n, rank, axis) for rank in range(decomp.size)
+               for axis, n in enumerate(decomp.local_shape(rank)))
 
 
 class SolverRankProgram:
@@ -204,8 +213,16 @@ def parallel_filter(global_f, decomp, world, axis: int, alpha: float = 1.0) -> n
     return decomp.gather(out_locals)
 
 
-class ParallelPeriodicSolver:
-    """Rank-parallel DNS on an all-periodic box, bitwise-matching serial.
+class ParallelPeriodicSolver(S3DSolver):
+    """Rank-parallel DNS on an all-periodic box, matching serial to
+    round-off.
+
+    The serial solver's stepper over a rank-blocked layout: the solver
+    holds one global :class:`~repro.core.state.State` and steps it with
+    the shared integrator, Strang split, filter cadence and run loop;
+    this class supplies the rank-blocked RHS (:meth:`rhs`), the filter
+    (:meth:`apply_filter`) and the per-rank reactor dispatch of the
+    Strang half-steps.
 
     Parameters
     ----------
@@ -216,36 +233,30 @@ class ParallelPeriodicSolver:
         Decomposition and transport world. ``world=None`` builds one
         via :func:`repro.parallel.comm.create_transport` — selected by
         ``comm_transport`` or the ``REPRO_TRANSPORT`` environment
-        switch — and :meth:`close` releases it.
+        switch — and :meth:`close` releases it. Every rank's block
+        must be at least :data:`DEEP_HALO` cells deep on every axis.
     comm_transport:
         Communication-backend name (``"inprocess"``,
         ``"multiprocessing"``, ``"mpi4py"``) used when ``world`` is
         None; distinct from ``transport``, which selects the
         *molecular* transport model. On an explicit ``world`` the
         name must agree with the world's backend.
-    transport, reacting, scheme, filter_alpha:
-        Passed through to per-rank RHS/filter construction.
-    rhs_engine:
-        RHS engine name forwarded to every per-rank
-        :class:`~repro.core.rhs.CompressibleRHS` (None defers to the
-        ``REPRO_RHS_ENGINE`` environment switch). Both engines are
-        bitwise identical, so the serial-equivalence guarantee holds for
-        either.
-    rhs_backend:
-        Array-backend name forwarded to every per-rank RHS (None defers
-        to the ``REPRO_RHS_BACKEND`` environment switch; see
-        :mod:`repro.backend`). Names, not instances, cross the
-        transport boundary — each rank process resolves its own backend
-        and JIT caches.
-    chemistry_mode, chemistry_method:
-        Chemistry coupling (``"explicit"`` or ``"strang"``) and the
-        implicit integrator for Strang half-steps (``"rosw2"`` or
-        ``"bdf2"``); None defers to ``REPRO_CHEMISTRY_MODE`` /
-        ``REPRO_CHEMISTRY_METHOD``. With ``"strang"`` the rank RHS is
-        built non-reacting and the driver runs implicit chemistry
-        half-steps around the RK transport step, exactly as the serial
-        solver does; per-cell implicit results are bitwise independent
-        of batch shape, so serial equivalence survives the split.
+    transport, reacting, scheme, filter_alpha, filter_interval:
+        As for the serial solver; ``scheme`` is any ERK scheme of
+        :data:`repro.core.erk.SCHEMES`.
+    telemetry, tracing:
+        As ``telemetry`` and ``config.tracing`` of the serial solver
+        (``telemetry`` may also be ``True``/``False`` like
+        ``config.telemetry``).
+    rhs_engine, rhs_backend:
+        As for the serial solver, forwarded by name to every rank's
+        :class:`~repro.core.rhs.CompressibleRHS`: names, not instances,
+        cross the transport boundary, and each rank process resolves
+        its own backend and JIT caches.
+    chemistry_mode, chemistry_method, fixed_substeps:
+        As for the serial solver; per-cell implicit results are bitwise
+        independent of batch shape, so the rank decomposition cannot
+        perturb the Strang half-steps.
     chem_load_balance:
         Chemistry dynamic-load-balancing policy (``"off"``, ``"greedy"``,
         ``"pairwise-diffusion"``; None defers to the ``REPRO_CHEM_LB``
@@ -271,12 +282,13 @@ class ParallelPeriodicSolver:
         per-rank data, exactly like TAU's per-process profiles.
     observability:
         Health-observatory mode (see :mod:`repro.observability`);
-        ``None`` defers to ``REPRO_OBSERVABILITY``. The parallel
-        watchdog set runs on the gathered global state (NaN sentinel,
-        bounds, wall-time anomaly, plus conservation at ``"full"`` —
-        the grid is all-periodic by construction); the CFL-margin
-        watchdog is omitted because this solver is driven by an
-        explicit ``dt``.
+        ``None`` defers to ``REPRO_OBSERVABILITY``. The watchdogs run on
+        the global state (NaN sentinel, bounds, wall-time
+        anomaly, plus conservation at ``"full"`` — the grid is
+        all-periodic by construction); the CFL-margin watchdog is
+        omitted because this solver is driven by an explicit ``dt``.
+    parallel_recovery:
+        Rank-failure recovery policy of :meth:`run_resilient`.
     """
 
     def __init__(self, mechanism, grid, decomp, world=None, transport=None,
@@ -293,95 +305,70 @@ class ParallelPeriodicSolver:
             raise ValueError("ParallelPeriodicSolver requires an all-periodic grid")
         if grid.shape != decomp.global_shape:
             raise ValueError("grid and decomposition shapes disagree")
+        depth, rank, axis = thinnest_block(decomp)
+        if depth < DEEP_HALO:
+            raise ValueError(
+                f"rank {rank}'s block is {depth} cells deep on axis {axis}; "
+                f"the deep halo exchange needs blocks of at least "
+                f"DEEP_HALO={DEEP_HALO} cells"
+            )
         self.mech = mechanism
         self.grid = grid
         self.decomp = decomp
-        self.telemetry = resolve_telemetry(telemetry)
-        self.tracing = resolve_tracing(tracing)
-        if self.tracing:
-            # tracing is a mode on the telemetry backend: upgrade the
-            # resolved backend in place, or replace a null one — the
-            # transport below shares this backend, so message-plane
-            # trace contexts start flowing immediately
-            if getattr(self.telemetry, "enabled", False):
-                self.telemetry.enable_tracing()
-            else:
-                from repro.telemetry import Telemetry
-
-                self.telemetry = Telemetry(tracing=True)
-        self._owns_world = world is None
-        if world is None:
-            world = create_transport(comm_transport, size=decomp.size,
-                                     telemetry=self.telemetry)
-        elif comm_transport is not None and world.name != comm_transport:
-            raise ValueError(
-                f"explicit world is a {world.name!r} transport but "
-                f"comm_transport={comm_transport!r} was requested"
-            )
         self.world = world
-        self.scheme = SCHEMES[scheme]()
-        self.filter_interval = int(filter_interval)
+        self._chemlb_options = dict(threshold=chemlb_threshold,
+                                    cost_model=chemlb_cost_model,
+                                    work_model=chemlb_work_model)
+        self._rank_telemetry = bool(rank_telemetry)
+        config = SolverConfig(
+            boundaries=periodic_boundaries(grid.ndim), scheme=scheme,
+            filter_interval=filter_interval, filter_alpha=filter_alpha,
+            rhs_engine=rhs_engine, rhs_backend=rhs_backend, tracing=tracing,
+            observability=observability, chemistry_mode=chemistry_mode,
+            chemistry_method=chemistry_method, fixed_substeps=fixed_substeps,
+            chem_load_balance=chem_load_balance, transport=comm_transport,
+            parallel_recovery=parallel_recovery,
+        )
+        super().__init__(State(mechanism, grid), config, transport=transport,
+                         reacting=reacting, telemetry=telemetry)
+
+    def _build_operators(self, transport, reacting) -> None:
+        """The world, halo exchanger, chemistry balancer and rank programs."""
         from repro.resilience.distributed import resolve_recovery_policy
 
-        self.recovery_policy = resolve_recovery_policy(parallel_recovery)
-        self.halo = HaloExchanger(decomp, world, width=DEEP_HALO,
-                                  telemetry=self.telemetry)
-        self.spacings = [grid.spacing(a) for a in range(grid.ndim)]
-        self.chemistry_mode = resolve_chemistry_mode(chemistry_mode)
-        split = (self.chemistry_mode == "strang" and reacting
-                 and mechanism.n_reactions > 0)
-        self._strang_chem = None
-        if split:
-            self._strang_chem = ImplicitChemistry(
-                mechanism, closure="constant-volume",
-                method=resolve_chemistry_method(chemistry_method),
-                fixed_substeps=fixed_substeps,
-                telemetry=self.telemetry,
-            )
-        elif fixed_substeps is not None:
-            # validate even though no integrator consumes it here; the
-            # env switch is deliberately ignored outside strang mode so
-            # a study-wide setting does not break explicit runs
-            resolve_fixed_substeps(fixed_substeps)
+        cfg = self.config
+        self._owns_world = self.world is None
+        if self.world is None:
+            self.world = create_transport(cfg.transport, size=self.decomp.size,
+                                          telemetry=self.telemetry)
+        elif cfg.transport is not None and self.world.name != cfg.transport:
             raise ValueError(
-                "fixed_substeps requires chemistry_mode='strang' "
-                "(there is no implicit integrator to apply it to)"
+                f"explicit world is a {self.world.name!r} transport but "
+                f"comm_transport={cfg.transport!r} was requested"
             )
-        policy = chemlb.resolve_policy(chem_load_balance)
+        self.recovery_policy = resolve_recovery_policy(cfg.parallel_recovery)
+        self.halo = HaloExchanger(self.decomp, self.world, width=DEEP_HALO,
+                                  telemetry=self.telemetry)
+        policy = chemlb.resolve_policy(cfg.chem_load_balance)
         self.chemlb = None
-        if policy != "off" and reacting and mechanism.n_reactions:
+        if (policy != "off" and (reacting or self._chem is not None)
+                and self.mech.n_reactions):
             self.chemlb = chemlb.ChemistryLoadBalancer(
-                mechanism, world, policy=policy,
-                cost_model=chemlb_cost_model, threshold=chemlb_threshold,
-                work_model=chemlb_work_model, telemetry=self.telemetry,
+                self.mech, self.world, policy=policy,
+                telemetry=self.telemetry, **self._chemlb_options,
             )
         # when balancing in explicit mode, rank RHS defers its reaction
         # sources: the program stashes (rho, T, Y), returns them with
-        # the du block, and _rhs_all adds balanced wdot to the owned
+        # the du block, and rhs adds balanced wdot to the owned
         # interior instead. In strang mode chemistry never enters the
         # RHS — the balancer (if any) ships whole implicit cell solves
-        # from the driver-side half-steps instead.
-        self._defer = self.chemlb is not None and not split
-        self._rank_telemetry = bool(rank_telemetry)
+        # from the Strang half-steps instead.
+        self._defer = self.chemlb is not None and self._chem is None
         # kept so recovery can rebuild rank programs on a new or revived
         # world with exactly the original construction arguments
-        self._build_params = dict(transport=transport,
-                                  reacting=reacting and not split,
-                                  filter_alpha=filter_alpha,
-                                  rhs_engine=rhs_engine,
-                                  rhs_backend=rhs_backend)
-        # species layout of the conserved array, needed driver-side to
-        # add balanced reaction sources without per-rank State objects
-        self._n_transported = mechanism.n_species - 1
-        self._species_slice = slice(2 + grid.ndim,
-                                    2 + grid.ndim + self._n_transported)
+        self._rank_transport = transport
+        self._rank_reacting = reacting
         self._start_rank_programs()
-        self.locals: list = [None] * decomp.size
-        self.time = 0.0
-        self.step_count = 0
-        self._gstate = None  # lazy gathered-state view for health checks
-        self._gstate_step = -1
-        self.health = self._resolve_health(observability)
 
     def _start_rank_programs(self) -> None:
         """(Re)start one rank program per rank on the current world.
@@ -391,12 +378,13 @@ class ParallelPeriodicSolver:
         driver's live telemetry backend through local_factory, which
         out-of-process backends ignore in favour of the pickled args).
         """
-        p = self._build_params
+        cfg = self.config
+        spacings = [self.grid.spacing(a) for a in range(self.grid.ndim)]
         per_rank_args = [
-            (self.mech, self.halo.extended_shape(rank), self.spacings,
-             self.halo.interior_slices(rank), p["transport"], p["reacting"],
-             p["filter_alpha"], p["rhs_engine"], p["rhs_backend"],
-             self._defer, self._rank_telemetry, self.tracing)
+            (self.mech, self.halo.extended_shape(rank), spacings,
+             self.halo.interior_slices(rank), self._rank_transport,
+             self._rank_reacting, cfg.filter_alpha, cfg.rhs_engine,
+             cfg.rhs_backend, self._defer, self._rank_telemetry, self.tracing)
             for rank in range(self.decomp.size)
         ]
         if self._rank_telemetry:
@@ -415,19 +403,12 @@ class ParallelPeriodicSolver:
 
         Maps the config fields the parallel solver understands —
         ``scheme``, ``filter_interval``, ``filter_alpha``,
-        ``rhs_engine``, ``chemistry_mode``, ``chemistry_method``,
-        ``chem_load_balance``, ``observability``, and ``transport``
-        (the communication backend, forwarded as ``comm_transport``).
-        Extra keyword arguments override.
+        ``rhs_engine``, ``rhs_backend``, ``telemetry``, ``tracing``,
+        ``chemistry_mode``, ``chemistry_method``, ``fixed_substeps``,
+        ``chem_load_balance``, ``observability``, ``parallel_recovery``
+        and ``transport`` (the communication backend, forwarded as
+        ``comm_transport``). Extra keyword arguments override.
         """
-        from repro import telemetry as _telemetry
-
-        if config.telemetry is True:
-            tel = _telemetry.Telemetry()
-        elif config.telemetry is False:
-            tel = _telemetry.NULL_TELEMETRY
-        else:
-            tel = None
         opts = dict(
             scheme=config.scheme,
             filter_interval=config.filter_interval,
@@ -438,7 +419,7 @@ class ParallelPeriodicSolver:
             chemistry_method=config.chemistry_method,
             chem_load_balance=config.chem_load_balance,
             observability=config.observability,
-            telemetry=tel,
+            telemetry=config.telemetry,
             comm_transport=config.transport,
             parallel_recovery=config.parallel_recovery,
             tracing=config.tracing,
@@ -448,152 +429,90 @@ class ParallelPeriodicSolver:
         return cls(mechanism, grid, decomp, world, transport=transport,
                    reacting=reacting, **opts)
 
+    @property
+    def filter_interval(self) -> int:
+        return self.config.filter_interval
+
     # ------------------------------------------------------------------
+    def _blocks(self, u) -> list:
+        """Per-rank owned blocks of the global array ``u`` (views)."""
+        return [u[(slice(None),) + self.decomp.local_slices(rank)]
+                for rank in range(self.decomp.size)]
+
+    @property
+    def locals(self) -> list:
+        """Per-rank owned blocks: views into the global ``state.u``."""
+        return self._blocks(self.state.u)
+
     def set_state(self, global_u: np.ndarray) -> None:
-        """Scatter a global conserved array to the ranks."""
-        self.locals = self.decomp.scatter(np.asarray(global_u, dtype=float), 1)
+        """Copy a global conserved array into the solver's state."""
+        self.state.u[...] = global_u
+        self.state.mark_modified()
 
     def gather_state(self) -> np.ndarray:
-        return self.decomp.gather(self.locals, 1)
+        """A copy of the global conserved array."""
+        return self.state.u.copy()
 
-    def _rhs_all(self, t, locals_) -> list:
-        """Exchange + per-rank RHS; returns owned-interior dU/dt blocks.
+    def compute_dt(self) -> float:
+        raise TypeError("ParallelPeriodicSolver has no CFL time step; "
+                        "pass dt to step() or run()")
 
-        The halo exchange stays in the driver (it is the communication
-        pattern under test); the per-rank RHS evaluations fan out over
-        the transport's execution plane — serial on the in-process
-        reference, one process per rank on the multiprocessing backend.
+    def rhs(self, t, u, out=None):
+        """dU/dt of the global array ``u``, evaluated rank by rank.
+
+        Exchanges the deep halo of every rank's owned block, fans the
+        per-rank RHS out over the transport's execution plane (serial on
+        the in-process reference, one process per rank on the
+        multiprocessing backend), adds the balancer's reaction sources
+        when they were deferred, and assembles the owned interiors.
         """
-        extended = self.halo.exchange(locals_, leading_axes=1)
+        extended = self.halo.exchange(self._blocks(u), leading_axes=1)
         payloads = [(t, ext) for ext in extended]
-        if not self._defer:
-            return self.world.call_all("rhs_block", payloads)
-        # reaction sources were deferred: evaluate the owned interior
-        # cells through the balancer and add them exactly where the
-        # serial RHS would (du[species] += wdot_mass[:nt])
-        results = self.world.call_all("rhs_block_deferred", payloads)
-        out = [r[0] for r in results]
-        prims = [(r[1], r[2], r[3]) for r in results]
-        wdots = self.chemlb.production_rates(prims)
-        for rank in range(self.decomp.size):
-            out[rank][self._species_slice] += wdots[rank][:self._n_transported]
+        if self._defer:
+            # add the balanced reaction sources exactly where the serial
+            # RHS would (du[species] += wdot_mass[:nt])
+            results = self.world.call_all("rhs_block_deferred", payloads)
+            du = [r[0] for r in results]
+            wdots = self.chemlb.production_rates([r[1:] for r in results])
+            st = self.state
+            for d, wdot in zip(du, wdots):
+                d[st.species_slice] += wdot[:st.n_transported]
+        else:
+            du = self.world.call_all("rhs_block", payloads)
+        if out is None:
+            out = np.empty_like(u)
+        for block, d in zip(self._blocks(out), du):
+            block[...] = d
         return out
 
-    def step(self, dt: float) -> None:
-        """One time step across all ranks.
+    #: the ERK integrators pass persistent stage buffers as ``out``
+    rhs.supports_out = True
 
-        With ``chemistry_mode="strang"``: chem(dt/2) → transport RK
-        step → chem(dt/2), mirroring the serial solver's split exactly
-        (the chemistry is per-cell and batch-shape independent, so the
-        rank decomposition cannot perturb it); otherwise one low-storage
-        RK step of the full RHS.
-        """
-        if self._strang_chem is not None:
-            self._strang_chemistry(0.5 * dt)
-        sch = self.scheme
-        with self.telemetry.span("INTEGRATE"):
-            u = [np.array(b, copy=True) for b in self.locals]
-            du = [np.zeros_like(b) for b in u]
-            for i in range(sch.stages):
-                rhs_blocks = self._rhs_all(self.time + sch.c[i] * dt, u)
-                for r in range(self.decomp.size):
-                    du[r] *= sch.a[i]
-                    du[r] += dt * rhs_blocks[r]
-                    u[r] += sch.b[i] * du[r]
-        self.locals = u
-        if self._strang_chem is not None:
-            self._strang_chemistry(0.5 * dt)
-        self.time += dt
-        self.step_count += 1
-        if self.filter_interval and self.step_count % self.filter_interval == 0:
-            self.apply_filter()
-
-    def _strang_chemistry(self, half_dt: float) -> None:
-        """Advance every rank block's reactors by ``half_dt``.
-
-        Each block decodes ``(rho, e_int, Y)`` exactly as the serial
-        path does; with a load balancer the per-cell implicit solves are
-        planned and shipped between ranks using the *measured* substep
-        counts of the previous half-step as the cost signal, otherwise
-        every rank just integrates its own cells.
-        """
-        mech = self.mech
-        ndim = self.grid.ndim
-        states = [strang_reactor_inputs(b, ndim, mech.n_species)
-                  for b in self.locals]
-        with self.telemetry.span("CHEMISTRY_IMPLICIT"):
-            if self.chemlb is not None:
-                results = self.chemlb.advance_states(
-                    states, half_dt, self._strang_chem
-                )
-            else:
-                tracelog = getattr(self.telemetry, "tracelog", None)
-                results = []
-                for rank, (rho, e, Y) in enumerate(states):
-                    sid = (tracelog.begin_span("CHEMISTRY_CELLS", rank)
-                           if tracelog is not None else None)
-                    results.append(
-                        self._strang_chem.advance_energy(rho, e, Y,
-                                                         half_dt)[:2]
-                    )
-                    if sid is not None:
-                        tracelog.end_span(sid, cells=int(rho.size))
-        for b, (_, Y1) in zip(self.locals, results):
-            strang_apply_update(b, ndim, mech.n_species, Y1)
+    def _advance_reactors(self, inputs, half_dt: float) -> list:
+        """Per-rank reactor dispatch: through the balancer when one is
+        active, otherwise each rank integrates its own cells."""
+        if self.chemlb is not None:
+            return [Y1 for _, Y1 in
+                    self.chemlb.advance_states(inputs, half_dt, self._chem)]
+        tracelog = getattr(self.telemetry, "tracelog", None)
+        results = []
+        for rank, (rho, e, Y) in enumerate(inputs):
+            sid = (tracelog.begin_span("CHEMISTRY_CELLS", rank)
+                   if tracelog is not None else None)
+            results.append(self._chem.advance_energy(rho, e, Y, half_dt)[1])
+            if sid is not None:
+                tracelog.end_span(sid, cells=int(rho.size))
+        return results
 
     def apply_filter(self) -> None:
-        extended = self.halo.exchange(self.locals, leading_axes=1)
-        self.locals = self.world.call_all(
-            "filter_block", [(ext,) for ext in extended]
-        )
-
-    # -- observability ---------------------------------------------------
-    @property
-    def state(self) -> State:
-        """Gathered global :class:`~repro.core.state.State` view.
-
-        Re-gathered at most once per step (health checks share the same
-        view); the returned object is a snapshot for inspection, not a
-        handle into the per-rank blocks.
-        """
-        if self._gstate is None:
-            self._gstate = State(self.mech, self.grid)
-        if self._gstate_step != self.step_count:
-            self._gstate.u = self.gather_state()
-            self._gstate.mark_modified()
-            self._gstate_step = self.step_count
-        return self._gstate
-
-    def _resolve_health(self, mode):
-        from repro import observability as obs
-
-        mode = obs.resolve_mode(mode)
-        if mode == "off":
-            return obs.NULL_HEALTH
-        dogs = [obs.NaNSentinel(), obs.BoundsWatchdog(),
-                obs.WallTimeAnomalyWatchdog()]
-        if mode == "full":
-            dogs.append(obs.ConservationWatchdog())
-        return obs.HealthMonitor(
-            self, watchdogs=dogs, interval=1,
-            recorder=obs.FlightRecorder(capacity=256 if mode == "full" else 64),
-            record_telemetry_delta=(mode == "full" and self.telemetry.enabled),
-        )
-
-    def run(self, n_steps: int, dt: float) -> None:
-        """Advance ``n_steps`` fixed-dt steps with health monitoring.
-
-        With observability off this is exactly ``n_steps`` calls to
-        :meth:`step` (one attribute check per step of overhead).
-        """
-        health = self.health
-        for _ in range(n_steps):
-            if health.enabled:
-                t0 = health.clock()
-                self.step(dt)
-                health.on_step(dt, health.clock() - t0)
-            else:
-                self.step(dt)
+        """Filter every rank's halo-extended block; keep the interiors."""
+        blocks = self.locals
+        extended = self.halo.exchange(blocks, leading_axes=1)
+        filtered = self.world.call_all("filter_block",
+                                       [(ext,) for ext in extended])
+        for block, f in zip(blocks, filtered):
+            block[...] = f
+        self.state.mark_modified()
 
     def run_resilient(self, fs, n_steps: int, dt: float, **kwargs):
         """Supervised :meth:`run`: coordinated parallel checkpoints plus
@@ -639,10 +558,11 @@ class ParallelPeriodicSolver:
             raise ValueError(
                 f"{len(blocks)} shard blocks for {self.decomp.size} ranks"
             )
-        self.locals = [np.array(b, dtype=float, copy=True) for b in blocks]
+        for block, shard in zip(self.locals, blocks):
+            block[...] = shard
+        self.state.mark_modified()
         self.time = float(time)
         self.step_count = int(step)
-        self._gstate_step = -1
         self._install_caches(list(caches))
 
     def install_checkpoint(self, data: dict) -> None:
@@ -653,7 +573,6 @@ class ParallelPeriodicSolver:
         self.set_state(data["u"])
         self.time = float(data["time"])
         self.step_count = int(data["step"])
-        self._gstate_step = -1
         cache = data.get("cache")
         if cache is None:
             interior = [None] * self.decomp.size
@@ -673,7 +592,7 @@ class ParallelPeriodicSolver:
         Builds a fresh transport of the same backend with
         ``decomp.size`` ranks, rebuilds the halo exchanger and rank
         programs, and re-seeds the chemistry balancer's cost model.
-        State is *not* carried over; call :meth:`install_checkpoint`
+        The new rank programs start cold; call :meth:`install_checkpoint`
         after reconfiguring.
         """
         if decomp.global_shape != self.decomp.global_shape:
@@ -694,8 +613,6 @@ class ParallelPeriodicSolver:
         if self.chemlb is not None:
             self.chemlb.rebind(world)
         self._start_rank_programs()
-        self.locals = [None] * decomp.size
-        self._gstate_step = -1
         if self._owns_world:
             old_world.close()
         self._owns_world = True

@@ -97,12 +97,13 @@ def shrink_decomposition(decomp, new_size: int):
     process) can shrink — redistributing a general Cartesian split
     over an arbitrary survivor count has no unique answer. The slab
     axis keeps shrinking until every block is at least ``DEEP_HALO``
-    cells deep, the floor below which the deep halo exchange would read
-    unfilled ghosts; a grid too small to split at all continues on a
-    single rank.
+    cells deep (:func:`~repro.parallel.solver.thinnest_block`, the
+    floor the solver itself enforces), below which the deep halo
+    exchange would read unfilled ghosts; a grid too small to split at
+    all continues on a single rank.
     """
     from repro.parallel.decomp import CartesianDecomposition
-    from repro.parallel.solver import DEEP_HALO
+    from repro.parallel.solver import DEEP_HALO, thinnest_block
 
     new_size = int(new_size)
     if new_size < 1:
@@ -114,13 +115,14 @@ def shrink_decomposition(decomp, new_size: int):
             f"{decomp.proc_shape} splits {len(split)} axes"
         )
     axis = split[0] if split else int(np.argmax(decomp.global_shape))
-    n = decomp.global_shape[axis]
-    while new_size > 1 and n // new_size < DEEP_HALO:
-        new_size -= 1
     proc = [1] * decomp.ndim
-    proc[axis] = new_size
-    return CartesianDecomposition(decomp.global_shape, tuple(proc),
-                                  periodic=decomp.periodic)
+    while True:
+        proc[axis] = new_size
+        out = CartesianDecomposition(decomp.global_shape, tuple(proc),
+                                     periodic=decomp.periodic)
+        if new_size == 1 or thinnest_block(out)[0] >= DEEP_HALO:
+            return out
+        new_size -= 1
 
 
 @dataclass

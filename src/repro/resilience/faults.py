@@ -44,12 +44,18 @@ SEED_ENV_VAR = "REPRO_FAULT_SEED"
 
 
 def seed_from_env(default: int = 0) -> int:
-    """Injector seed from ``REPRO_FAULT_SEED`` (CI matrix), else default."""
+    """Injector seed from ``REPRO_FAULT_SEED`` (CI matrix), else default.
+
+    A value that is not an integer raises rather than falling back, so a
+    misspelled matrix seed cannot quietly rerun the default schedule.
+    """
     raw = os.environ.get(SEED_ENV_VAR, "").strip()
     try:
         return int(raw) if raw else int(default)
     except ValueError:
-        return int(default)
+        raise ValueError(
+            f"{SEED_ENV_VAR}={raw!r} is not an integer seed"
+        ) from None
 
 
 @dataclass

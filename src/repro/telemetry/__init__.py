@@ -15,14 +15,13 @@ Two backends share one API:
 Backend selection: an explicit instance passed to a component always
 wins; otherwise the process default from :func:`get_telemetry` applies,
 which is the null backend unless the environment variable
-``REPRO_TELEMETRY`` is truthy (``1``/``on``/``true``/``yes``) or
-:func:`configure` was called.
+``REPRO_TELEMETRY`` is on (``1``/``on``/``true``/``yes``; a value
+that is neither on nor off raises) or :func:`configure` was called.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 
 from repro.telemetry.metrics import (
     Counter,
@@ -39,6 +38,7 @@ from repro.telemetry.tracing import (
     resolve_tracing,
 )
 from repro.telemetry import export
+from repro.util.validation import env_switch
 from repro.telemetry.export import (
     MonitorWriter,
     from_json,
@@ -71,6 +71,7 @@ __all__ = [
     "get_telemetry",
     "set_default",
     "resolve",
+    "resolve_solver",
 ]
 
 
@@ -334,23 +335,19 @@ class NullTelemetry:
 #: the shared disabled backend
 NULL_TELEMETRY = NullTelemetry()
 
-_TRUTHY = ("1", "on", "true", "yes")
 _default: object | None = None
-
-
-def _env_enabled() -> bool:
-    return os.environ.get("REPRO_TELEMETRY", "").strip().lower() in _TRUTHY
 
 
 def get_telemetry():
     """The process-default telemetry backend.
 
-    Null unless ``REPRO_TELEMETRY`` is truthy at first use or
-    :func:`configure`/:func:`set_default` installed a backend.
+    Null unless ``REPRO_TELEMETRY`` is on at first use or
+    :func:`configure`/:func:`set_default` installed a backend; a value
+    that is neither on nor off raises.
     """
     global _default
     if _default is None:
-        _default = Telemetry() if _env_enabled() else NULL_TELEMETRY
+        _default = Telemetry() if env_switch("REPRO_TELEMETRY") else NULL_TELEMETRY
     return _default
 
 
@@ -371,3 +368,28 @@ def resolve(telemetry=None):
     """Resolution used by instrumented components: explicit instance
     wins, otherwise the process default."""
     return telemetry if telemetry is not None else get_telemetry()
+
+
+def resolve_solver(telemetry=None, tracing=None):
+    """A solver's backend, with the solver's tracing mode applied.
+
+    ``telemetry`` is an instance (used as is), ``True`` (a fresh
+    recording backend), ``False`` (the null backend) or ``None`` (the
+    process default). Tracing is a mode on the backend: when
+    ``tracing`` (or, for ``None``, ``REPRO_TRACING``) is on, a recording
+    backend is upgraded in place and a null one is replaced by a
+    recording one, so the solver's transport and rank programs, which
+    share the backend, trace from the start.
+    """
+    if telemetry is True:
+        tel = Telemetry()
+    elif telemetry is False:
+        tel = NULL_TELEMETRY
+    else:
+        tel = resolve(telemetry)
+    if resolve_tracing(tracing):
+        if getattr(tel, "enabled", False):
+            tel.enable_tracing()
+        else:
+            tel = Telemetry(tracing=True)
+    return tel

@@ -32,11 +32,12 @@ tracing is bitwise-invisible to every array a solver exchanges.
 
 from __future__ import annotations
 
-import os
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import NamedTuple
+
+from repro.util.validation import env_switch
 
 __all__ = [
     "DRIVER_RANK",
@@ -48,22 +49,21 @@ __all__ = [
     "resolve_tracing",
 ]
 
-#: environment switch for the tracing mode (same truthy set as
-#: ``REPRO_TELEMETRY``)
+#: environment switch for the tracing mode (an on/off switch parsed
+#: like ``REPRO_TELEMETRY``)
 TRACING_ENV = "REPRO_TRACING"
 
 #: lane used for events recorded by the driver process itself (rank
 #: programs use their real rank ids >= 0)
 DRIVER_RANK = -1
 
-_TRUTHY = ("1", "on", "true", "yes")
-
 
 def resolve_tracing(tracing=None) -> bool:
     """Resolve the tracing mode: explicit argument wins, ``None`` defers
-    to the ``REPRO_TRACING`` environment switch."""
+    to the ``REPRO_TRACING`` environment switch (a value that is
+    neither on nor off raises)."""
     if tracing is None:
-        return os.environ.get(TRACING_ENV, "").strip().lower() in _TRUTHY
+        return env_switch(TRACING_ENV)
     return bool(tracing)
 
 

@@ -6,6 +6,8 @@ public API boundaries only, never in inner loops.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 
@@ -38,3 +40,26 @@ def check_probability_vector(name: str, value, atol: float = 1e-8) -> None:
     total = float(arr.sum())
     if abs(total - 1.0) > max(atol, 1e-8 * arr.size):
         raise ValueError(f"{name} must sum to 1, sums to {total}")
+
+
+#: accepted spellings of an on/off environment switch
+SWITCH_ON = ("1", "on", "true", "yes")
+SWITCH_OFF = ("", "0", "off", "false", "no")
+
+
+def env_switch(name: str) -> bool:
+    """Read the on/off environment switch ``name`` (unset means off).
+
+    Matching is case-insensitive; anything outside :data:`SWITCH_ON` and
+    :data:`SWITCH_OFF` raises, so a misspelled value cannot silently
+    turn a feature off.
+    """
+    raw = os.environ.get(name, "").strip().lower()
+    if raw in SWITCH_ON:
+        return True
+    if raw in SWITCH_OFF:
+        return False
+    raise ValueError(
+        f"{name}={os.environ[name]!r} is not an on/off value; "
+        f"use one of {SWITCH_ON} or {SWITCH_OFF[1:]}"
+    )

@@ -17,6 +17,8 @@ import pytest
 
 from repro.chemistry import h2_li2004, ch4_onestep, ch4_twostep
 from repro.chemistry.mechanisms import air
+from repro.core import Grid, State
+from repro.util.constants import P_ATM
 
 
 def _node_seed(request) -> int:
@@ -85,3 +87,27 @@ def h2_air_stoich(h2_mech):
 @pytest.fixture(scope="session")
 def air_y(air_mech):
     return air_mech.mass_fractions_from({"O2": 0.233, "N2": 0.767})
+
+
+def hot_spot_box(mech, Y):
+    """24x24 periodic 2 mm box of composition ``Y`` at 900 K with a
+    +500 K Gaussian hot spot (sigma 0.3 mm), moving at (1.0, 0.5) m/s."""
+    grid = Grid((24, 24), (2e-3, 2e-3), periodic=(True, True))
+    xx, yy = grid.meshgrid()
+    T = 900.0 + 500.0 * np.exp(
+        -((xx - 1e-3) ** 2 + (yy - 1e-3) ** 2) / (2 * (3e-4) ** 2)
+    )
+    Yf = np.asarray(Y)[:, None, None] * np.ones((1,) + grid.shape)
+    rho = mech.density(P_ATM, T, Yf)
+    return State.from_primitive(mech, grid, rho, [1.0, 0.5], T, Yf)
+
+
+@pytest.fixture
+def air_box(h2_mech):
+    """The hot-spot box in air on the H2 mechanism: every species other
+    than O2/N2 is exactly 0, so a low-storage RK stage (which conserves
+    every sum on a periodic box) leaves the corner cell, the all-zero
+    species and every variable's sum unchanged."""
+    from repro.scenarios import fuel_and_coflow
+
+    return hot_spot_box(h2_mech, fuel_and_coflow(h2_mech)[1])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import Grid, SolverConfig, S3DSolver, State, ic
+from repro.core import Grid, SolverConfig, S3DSolver, ic
 from repro.core.config import periodic_boundaries
 from repro.core.derivatives import DerivativeOperator
 from repro.core.filters import FilterOperator
@@ -19,7 +19,7 @@ from repro.parallel.solver import (
     parallel_filter,
 )
 from repro.transport import ConstantLewisTransport
-from repro.util.constants import P_ATM
+from tests.conftest import hot_spot_box
 
 
 class TestSimMPI:
@@ -205,25 +205,45 @@ class TestDistributedOperators:
 
 
 class TestParallelSolverEquivalence:
-    def test_matches_serial_reacting_viscous(self, h2_mech, h2_air_stoich):
-        grid = Grid((24, 24), (2e-3, 2e-3), periodic=(True, True))
-        xx, yy = grid.meshgrid()
-        T = 900.0 + 500.0 * np.exp(
-            -((xx - 1e-3) ** 2 + (yy - 1e-3) ** 2) / (2 * (3e-4) ** 2)
-        )
-        Yf = h2_air_stoich[:, None, None] * np.ones((1, 24, 24))
-        rho = h2_mech.density(P_ATM, T, Yf)
-        state = State.from_primitive(h2_mech, grid, rho, [1.0, 0.5], T, Yf)
+    def test_from_default_config_steps(self, h2_mech, h2_air_stoich):
+        state = hot_spot_box(h2_mech, h2_air_stoich)
+        d = CartesianDecomposition((24, 24), (2, 2), periodic=(True, True))
+        par = ParallelPeriodicSolver.from_config(h2_mech, state.grid, d,
+                                                 SolverConfig(), SimMPI(4))
+        assert par.integrator.name == "rkf45"
+        par.set_state(state.u)
+        par.step(2e-8)
+        assert par.step_count == 1 and np.isfinite(par.gather_state()).all()
+
+    def test_rejects_blocks_thinner_than_deep_halo(self, h2_mech):
+        grid = Grid((16, 16), (2e-3, 2e-3), periodic=(True, True))
+        d = CartesianDecomposition((16, 16), (2, 1), periodic=(True, True))
+        with pytest.raises(ValueError,
+                           match=r"rank 0's block is 8 cells deep on axis 0"):
+            ParallelPeriodicSolver(h2_mech, grid, d, SimMPI(2))
+        grid = Grid((18, 18), (2e-3, 2e-3), periodic=(True, True))
+        d = CartesianDecomposition((18, 18), (2, 1), periodic=(True, True))
+        ParallelPeriodicSolver(h2_mech, grid, d, SimMPI(2))  # 9 deep: legal
+
+    @pytest.mark.parametrize("scheme", ["rkf45", "rk4", "ck45"])
+    @pytest.mark.parametrize("case", ["stoich", "air"])
+    def test_matches_serial_reacting_viscous(self, case, scheme, h2_mech,
+                                             h2_air_stoich, air_box):
+        # every ERK scheme, on a stoichiometric box and on the air box
+        # whose in-place low-storage stages keep every sum unchanged
+        state = air_box if case == "air" else hot_spot_box(h2_mech,
+                                                           h2_air_stoich)
+        grid = state.grid
         tr = ConstantLewisTransport(h2_mech)
         cfg = SolverConfig(boundaries=periodic_boundaries(2), dt=2e-8,
-                           filter_interval=1, filter_alpha=0.2, scheme="ck45")
+                           filter_interval=1, filter_alpha=0.2, scheme=scheme)
         serial = S3DSolver(state.copy(), cfg, transport=tr, reacting=True)
         for _ in range(3):
             serial.step()
         world = SimMPI(4)
         d = CartesianDecomposition((24, 24), (2, 2), periodic=(True, True))
         par = ParallelPeriodicSolver(h2_mech, grid, d, world, transport=tr,
-                                     reacting=True, scheme="ck45",
+                                     reacting=True, scheme=scheme,
                                      filter_alpha=0.2)
         par.set_state(state.u)
         for _ in range(3):

@@ -225,6 +225,19 @@ class TestPropsMemo:
         assert hits.value == 0
         assert not np.array_equal(du0, du1)
 
+    def test_no_hit_across_low_storage_stages(self, air_box):
+        # ck45 passes one buffer to every stage and updates it in place;
+        # on the air box that update keeps the corner cell, the all-zero
+        # species and every sum unchanged, so only a full content
+        # comparison tells stage 1 from stage 0
+        from repro.core.erk import ERKIntegrator
+
+        tel = Telemetry()
+        rhs = CompressibleRHS(air_box, transport=ConstantLewisTransport(
+            air_box.mech), reacting=True, engine="batched", telemetry=tel)
+        ERKIntegrator("ck45").step(rhs, 0.0, air_box.u, 2e-8)
+        assert tel.counter("rhs.props_cache_hits").value == 0
+
 
 class TestEngineSelection:
     def test_default_is_batched(self):
